@@ -97,6 +97,17 @@ pub fn tiebreak_weight(index: usize) -> f64 {
     1.0 + ((h >> 44) as f64 / (1u64 << 20) as f64) * 0.5
 }
 
+/// Lower bound on the objective variable in the canonical stage 2 (see
+/// [`LpFormulation::tiebreak_terms`]): the certified stage-1 optimum
+/// `z_star`, relaxed by a relative 1e-9. Wide enough to absorb the
+/// solver's own termination noise (≪ 1e-9 relative), narrow enough that
+/// the canonical vertex is optimal to far better than the heuristics'
+/// rounding tolerances. Every stage-2 site uses this one margin, so every
+/// pipeline extracts the same vertex.
+pub fn stage2_floor(z_star: f64) -> f64 {
+    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
+}
+
 /// The primitive model mutations one [`LpFormulation::pin_beta`] performed,
 /// so a warm solver context can mirror them onto its factorised state.
 #[derive(Debug, Clone, PartialEq)]

@@ -22,7 +22,7 @@
 
 use super::Lprr;
 use crate::error::SolveError;
-use crate::formulation::{LpFormulation, PinDelta};
+use crate::formulation::{stage2_floor, LpFormulation, PinDelta};
 use crate::problem::ProblemInstance;
 use dls_lp::{RevisedSimplex, Sense, Status, WarmSimplex};
 use dls_platform::ClusterId;
@@ -61,13 +61,6 @@ pub struct PinSweepReport {
     pub stage2_values: Vec<f64>,
     /// Worker count the sweep ran with (1 = sequential).
     pub threads: usize,
-}
-
-/// Margin by which the stage-2 lower bound on the objective variable is
-/// relaxed below the certified stage-1 optimum — same constant as the
-/// scenario resolvers, so every pipeline extracts the same vertex.
-fn stage2_floor(z_star: f64) -> f64 {
-    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
 }
 
 /// Clones the base context, applies one pin delta, and solves. Pure in the

@@ -276,11 +276,6 @@ impl Factor {
         Ok(f)
     }
 
-    /// `true` when this factor uses the sparse LU representation.
-    pub(crate) fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse(_))
-    }
-
     /// Nonzeros held by the factorisation: `m²` for the dense inverse,
     /// LU + eta-file nonzeros for the sparse representation.
     pub(crate) fn factor_nnz(&self) -> usize {
@@ -385,26 +380,6 @@ impl Factor {
             .sum()
     }
 
-    /// Folds a single right-hand-side delta into `x_B` incrementally:
-    /// `Δx_B = B⁻¹ Δb = δ ·` (column `row` of `B⁻¹`) — one column read
-    /// (dense) or one unit FTRAN (sparse) instead of the full `x_B`
-    /// recomputation.
-    pub(crate) fn apply_b_delta(&mut self, row: usize, delta: f64) {
-        let m = self.m;
-        if let Repr::Dense(d) = &self.repr {
-            for i in 0..m {
-                self.xb[i] += delta * d.binv[i * m + row];
-            }
-            return;
-        }
-        let mut w = std::mem::take(&mut self.scratch_w);
-        self.ftran_unit(row, &mut w);
-        for i in 0..m {
-            self.xb[i] += delta * w[i];
-        }
-        self.scratch_w = w;
-    }
-
     /// Swaps the basic column at basis position `pos` for a nonbasic slack
     /// column with a numerically solid pivot element, using one ordinary
     /// basis update (`slack_cols` maps rows to their slack columns).
@@ -454,11 +429,14 @@ impl Factor {
     }
 
     /// `‖B·x_B − b‖∞`, computed from the *true* sparse basis columns — an
-    /// O(nnz) health check of the incrementally-maintained factorisation.
-    /// Rank-1 patches with modest denominators compound; when this residual
-    /// leaves the noise floor the caller must refactorise before trusting
-    /// another solve (a drifted `B⁻¹` sends the dual phase on a degenerate
-    /// random walk of pivots).
+    /// O(nnz) health check of the factorisation. When `x_B` was just
+    /// recomputed as `B⁻¹b` (see [`Factor::recompute_xb`]) the residual
+    /// measures how well the factor (LU or inverse, plus every rank-1
+    /// update since the last refactorisation) still represents the patched
+    /// basis columns. Rank-1 patches with modest denominators compound;
+    /// when this residual leaves the noise floor the caller must
+    /// refactorise before trusting another solve (a drifted factor sends
+    /// the dual phase on a degenerate random walk of pivots).
     pub(crate) fn xb_residual_inf(&mut self, sf: &StandardForm) -> f64 {
         let mut res = std::mem::take(&mut self.scratch_w);
         res.copy_from_slice(&sf.b);
@@ -495,23 +473,37 @@ impl Factor {
 
     fn refactor_inner(&mut self, sf: &StandardForm, repair: bool) -> Result<usize, LpError> {
         let replaced = match &mut self.repr {
-            Repr::Sparse(lu) => {
-                let replaced = lu.factorise(sf, &mut self.basis, &mut self.in_basis, repair)?;
-                // x_B = B⁻¹ b, with the same small-negative clamp as the
-                // dense rebuild below.
-                lu.ftran_dense(&sf.b, &mut self.xb);
-                for v in self.xb.iter_mut() {
-                    if *v < 0.0 && *v > -FEAS_TOL {
-                        *v = 0.0;
-                    }
-                }
-                replaced
-            }
+            Repr::Sparse(lu) => lu.factorise(sf, &mut self.basis, &mut self.in_basis, repair)?,
             Repr::Dense(_) => self.refactor_dense(sf, repair)?,
         };
+        self.recompute_xb(&sf.b);
         self.pivots_since_refactor = 0;
         self.refactor_count += 1;
         Ok(replaced)
+    }
+
+    /// Recomputes `x_B = B⁻¹ b` from the current factorisation: one dense
+    /// FTRAN through the LU factors and eta file, or one mat-vec with the
+    /// dense inverse. Tiny negative values (below `FEAS_TOL` in magnitude)
+    /// are clamped to zero. Used after every refactorisation and by the
+    /// warm layer, whose rhs/bound/coefficient patches leave `x_B` stale
+    /// until the next solve.
+    pub(crate) fn recompute_xb(&mut self, b: &[f64]) {
+        let m = self.m;
+        match &mut self.repr {
+            Repr::Sparse(lu) => lu.ftran_dense(b, &mut self.xb),
+            Repr::Dense(dense) => {
+                for i in 0..m {
+                    let row = &dense.binv[i * m..(i + 1) * m];
+                    self.xb[i] = row.iter().zip(b).map(|(&bi, &b)| bi * b).sum();
+                }
+            }
+        }
+        for v in self.xb.iter_mut() {
+            if *v < 0.0 && *v > -FEAS_TOL {
+                *v = 0.0;
+            }
+        }
     }
 
     /// The dense Gauss–Jordan rebuild (see [`Factor::refactor_repair`] for
@@ -624,118 +616,82 @@ impl Factor {
         dense.binv.copy_from_slice(&inv);
         dense.scratch_a = a;
         dense.scratch_inv = inv;
-        // x_B = B⁻¹ b.
-        for i in 0..m {
-            let row = &dense.binv[i * m..(i + 1) * m];
-            self.xb[i] = row.iter().zip(&sf.b).map(|(&bi, &b)| bi * b).sum();
-            if self.xb[i] < 0.0 && self.xb[i] > -FEAS_TOL {
-                self.xb[i] = 0.0;
-            }
-        }
         Ok(replaced)
     }
 
-    /// The Sherman–Morrison denominator `1 + δ·B⁻¹[pos, row]` a
-    /// [`Factor::patch_basic_column`] call would divide by. The warm layer
-    /// probes it to choose between the rank-1 patch, an eviction, and a
-    /// full refactorisation *before* mutating anything.
-    pub(crate) fn patch_denominator(&mut self, pos: usize, row: usize, delta: f64) -> f64 {
-        if let Repr::Dense(d) = &self.repr {
-            return 1.0 + delta * d.binv[pos * self.m + row];
-        }
-        let mut w = std::mem::take(&mut self.scratch_w);
-        self.ftran_unit(row, &mut w);
-        let denom = 1.0 + delta * w[pos];
-        self.scratch_w = w;
-        denom
-    }
-
     /// Rank-1 repair of the factorisation after the *basic* column at basis
-    /// position `pos` changed by `delta` in row `row`. The dense inverse
-    /// applies Sherman–Morrison:
+    /// position `pos` changed by `delta` in row `row`. With
+    /// `u = δ·B⁻¹e_row` (one column read of the dense inverse, one unit
+    /// FTRAN on the sparse LU) the update denominator is `1 + u[pos]`. The
+    /// dense inverse applies Sherman–Morrison:
     /// `B′ = B + delta·e_row·e_posᵀ`, so
-    /// `B′⁻¹ = B⁻¹ − (delta · B⁻¹e_row · e_posᵀB⁻¹) / (1 + delta·B⁻¹[pos,row])`.
-    /// The sparse LU appends the product-form eta `E = I + u·e_posᵀ` with
-    /// `u = δ·B⁻¹e_row` (`B′ = B·E`) — same operator, O(nnz) instead of
-    /// O(m²). Both correct `x_B` with the identical rank-1 arithmetic.
+    /// `B′⁻¹ = B⁻¹ − (u · e_posᵀB⁻¹) / (1 + u[pos])`.
+    /// The sparse LU appends the product-form eta `E = I + u·e_posᵀ`
+    /// (`B′ = B·E`) — same operator, O(nnz) instead of O(m²).
     ///
-    /// Fails (so the caller can fall back to a full refactorisation) when
-    /// the update denominator signals a near-singular patched basis.
+    /// Returns `false` and leaves the factor untouched when
+    /// `|1 + u[pos]| < min_denom`: a small denominator means the patched
+    /// basis is nearly singular, and the caller evicts the column or
+    /// refactorises instead. `x_B` is not updated; the caller recomputes
+    /// it ([`Factor::recompute_xb`]) before the next solve.
     pub(crate) fn patch_basic_column(
         &mut self,
         row: usize,
         pos: usize,
         delta: f64,
-    ) -> Result<(), LpError> {
+        min_denom: f64,
+    ) -> bool {
         let m = self.m;
-        if self.is_sparse() {
-            let mut u = std::mem::take(&mut self.scratch_w);
-            self.ftran_unit(row, &mut u);
-            for v in u.iter_mut() {
-                *v *= delta;
-            }
-            let denom = 1.0 + u[pos];
-            if denom.abs() < 1e-9 {
-                self.scratch_w = u;
-                return Err(LpError::SingularBasis);
-            }
-            let Repr::Sparse(lu) = &mut self.repr else {
-                unreachable!()
-            };
-            // Column pos of E is e_pos + u: pivot `denom`, off entries u.
-            lu.append_eta(pos, denom, &u, 0.0);
-            // x_B correction, identical to the dense arithmetic below.
-            let inv_denom = 1.0 / denom;
-            let f = self.xb[pos] * inv_denom;
-            for i in 0..m {
-                self.xb[i] -= u[i] * f;
-            }
-            self.scratch_w = u;
-            return Ok(());
-        }
-        let denom = self.patch_denominator(pos, row, delta);
-        if denom.abs() < 1e-9 {
-            return Err(LpError::SingularBasis);
-        }
-        // u = delta · (column `row` of B⁻¹), reusing the FTRAN scratch.
         let mut u = std::mem::take(&mut self.scratch_w);
-        let Repr::Dense(dense) = &mut self.repr else {
-            unreachable!()
-        };
-        for i in 0..m {
-            u[i] = delta * dense.binv[i * m + row];
-        }
-        let inv_denom = 1.0 / denom;
-        // Rows i ≠ pos read the *old* row pos, so it must be corrected last:
-        // its own correction works out to a plain scaling by 1/denom
-        // (`new = old − (u_pos/denom)·old = old·(denom − u_pos)/denom`, and
-        // `denom − u_pos = 1` by the definition of the denominator).
-        for i in 0..m {
-            if i == pos {
-                continue;
+        match &self.repr {
+            Repr::Dense(dense) => {
+                for i in 0..m {
+                    u[i] = delta * dense.binv[i * m + row];
+                }
             }
-            let f = u[i] * inv_denom;
-            if f != 0.0 {
-                // binv[i, :] -= f · binv[pos, :] — raw index math splits the
-                // borrow between the updated row and the pivot row.
-                for j in 0..m {
-                    let pv = dense.binv[pos * m + j];
-                    dense.binv[i * m + j] -= f * pv;
+            Repr::Sparse(_) => {
+                self.ftran_unit(row, &mut u);
+                for v in u.iter_mut() {
+                    *v *= delta;
                 }
             }
         }
-        for j in 0..m {
-            dense.binv[pos * m + j] *= inv_denom;
-        }
-        // Same rank-1 correction keeps x_B = B⁻¹b current:
-        // `x_B ← x_B − u · x_B[pos]/denom` (the pos entry lands on
-        // `x_B[pos]/denom` by the identity above).
-        let f = self.xb[pos] * inv_denom;
-        for i in 0..m {
-            self.xb[i] -= u[i] * f;
+        let denom = 1.0 + u[pos];
+        let ok = denom.abs() >= min_denom;
+        if ok {
+            match &mut self.repr {
+                // Column pos of E is e_pos + u: pivot `denom`, off entries u.
+                Repr::Sparse(lu) => lu.append_eta(pos, denom, &u, 0.0),
+                Repr::Dense(dense) => {
+                    let inv_denom = 1.0 / denom;
+                    // Rows i ≠ pos read the *old* row pos, so it must be
+                    // corrected last: its own correction works out to a
+                    // plain scaling by 1/denom (`new = old − (u_pos/denom)·old
+                    // = old·(denom − u_pos)/denom`, and `denom − u_pos = 1`
+                    // by the definition of the denominator).
+                    for i in 0..m {
+                        if i == pos {
+                            continue;
+                        }
+                        let f = u[i] * inv_denom;
+                        if f != 0.0 {
+                            // binv[i, :] -= f · binv[pos, :] — raw index math
+                            // splits the borrow between the updated row and
+                            // the pivot row.
+                            for j in 0..m {
+                                let pv = dense.binv[pos * m + j];
+                                dense.binv[i * m + j] -= f * pv;
+                            }
+                        }
+                    }
+                    for j in 0..m {
+                        dense.binv[pos * m + j] *= inv_denom;
+                    }
+                }
+            }
         }
         self.scratch_w = u;
-        Ok(())
+        ok
     }
 
     /// Applies the basis change for entering column `e` at row `r` with

@@ -432,15 +432,27 @@ impl SparseLu {
     }
 
     /// FTRAN: `w = B⁻¹ a` for a sparse row-space input, result in basis
-    /// position space. Solves through `L̃`, back-substitutes through `Ũ`,
-    /// then applies the eta inverses in file order.
+    /// position space.
     pub(crate) fn ftran(&mut self, entries: &[(usize, f64)], w: &mut [f64]) {
+        self.scr_row.iter_mut().for_each(|x| *x = 0.0);
+        for &(r, a) in entries {
+            self.scr_row[r] += a;
+        }
+        self.ftran_scratch(w);
+    }
+
+    /// FTRAN of a dense right-hand side (recomputes `x_B = B⁻¹b`).
+    pub(crate) fn ftran_dense(&mut self, b: &[f64], w: &mut [f64]) {
+        self.scr_row.copy_from_slice(b);
+        self.ftran_scratch(w);
+    }
+
+    /// Shared FTRAN body for the row-space input held in `scr_row`: solves
+    /// through `L̃`, back-substitutes through `Ũ`, then applies the eta
+    /// inverses in file order.
+    fn ftran_scratch(&mut self, w: &mut [f64]) {
         let m = self.m;
         let mut v = std::mem::take(&mut self.scr_row);
-        v.iter_mut().for_each(|x| *x = 0.0);
-        for &(r, a) in entries {
-            v[r] += a;
-        }
         // L̃⁻¹: apply the elimination steps in order.
         for t in 0..m {
             let va = v[self.piv_row[t] as usize];
@@ -465,44 +477,6 @@ impl SparseLu {
         }
         self.scr_row = v;
         // Eta inverses, oldest first.
-        for e in 0..self.eta_piv.len() {
-            let r = self.eta_r[e] as usize;
-            let t = w[r] / self.eta_piv[e];
-            if t != 0.0 {
-                let (s, en) = (self.eta_ptr[e] as usize, self.eta_ptr[e + 1] as usize);
-                for i in s..en {
-                    w[self.eta_idx[i] as usize] -= self.eta_val[i] * t;
-                }
-            }
-            w[r] = t;
-        }
-    }
-
-    /// FTRAN of a dense right-hand side (used to recompute `x_B = B⁻¹b`
-    /// after a refactorisation).
-    pub(crate) fn ftran_dense(&mut self, b: &[f64], w: &mut [f64]) {
-        let m = self.m;
-        let mut v = std::mem::take(&mut self.scr_row);
-        v.copy_from_slice(b);
-        for t in 0..m {
-            let va = v[self.piv_row[t] as usize];
-            if va != 0.0 {
-                let (s, e) = (self.l_ptr[t] as usize, self.l_ptr[t + 1] as usize);
-                for i in s..e {
-                    v[self.l_row[i] as usize] -= self.l_val[i] * va;
-                }
-            }
-        }
-        w.iter_mut().for_each(|x| *x = 0.0);
-        for t in (0..m).rev() {
-            let mut s = v[self.piv_row[t] as usize];
-            let (us, ue) = (self.u_ptr[t] as usize, self.u_ptr[t + 1] as usize);
-            for i in us..ue {
-                s -= self.u_val[i] * w[self.u_pos[i] as usize];
-            }
-            w[self.piv_pos[t] as usize] = s / self.u_piv[t];
-        }
-        self.scr_row = v;
         for e in 0..self.eta_piv.len() {
             let r = self.eta_r[e] as usize;
             let t = w[r] / self.eta_piv[e];

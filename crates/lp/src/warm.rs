@@ -19,11 +19,16 @@
 //!   the lowered [`StandardForm`] *and* the factorised basis inverse alive
 //!   across solves, applying model mutations as sparse in-place patches:
 //!
-//!   * right-hand-side and bound changes only touch `b` (the previous basis
-//!     stays dual feasible, so the dual simplex repairs it directly);
+//!   * right-hand-side and bound changes only touch `b`, at O(1) per
+//!     patched row (the previous basis stays dual feasible, so the dual
+//!     simplex repairs it directly);
 //!   * a coefficient change patches one sparse column; if that column is
-//!     basic, `B⁻¹` is repaired by a rank-1 Sherman–Morrison update instead
-//!     of an O(m³) refactorisation.
+//!     basic, the factorisation is repaired by a rank-1 update (one FTRAN)
+//!     instead of an O(m³) refactorisation.
+//!
+//!   Patches leave the basic values `x_B` stale; the next solve recomputes
+//!   `x_B = B⁻¹b` once (one dense FTRAN on the sparse LU, one mat-vec with
+//!   the dense inverse), however many patches came before it.
 //!
 //! # The repair loop
 //!
@@ -157,7 +162,7 @@ pub enum InjectedFault {
 
 /// Runs the shared warm repair loop (cost shift → dual phase → primal
 /// cleanup → extraction) from an already-factorised basis whose `x_B` is
-/// current.
+/// current (`WarmSimplex::try_warm` recomputes a stale one first).
 ///
 /// The common LPRR/B&B case — the inherited basis is still optimal, or a
 /// few dual pivots away — is served by a fast path: one BTRAN prices every
@@ -328,6 +333,10 @@ pub struct WarmSimplex {
     /// row → its slack/surplus column (None for equality rows).
     slack_cols: Vec<Option<usize>>,
     needs_refactor: bool,
+    /// Set by every patch that moves `b` or a basic column: the factor's
+    /// `x_B` no longer equals `B⁻¹b` and is recomputed once at the start of
+    /// the next warm attempt.
+    xb_stale: bool,
     /// When set, every solve is cross-checked against a cold solve of the
     /// same model and [`LpError::WarmColdMismatch`] is returned on
     /// disagreement — the oracle knob for tests and benches.
@@ -354,6 +363,7 @@ impl WarmSimplex {
             bound_rows,
             slack_cols,
             needs_refactor: false,
+            xb_stale: false,
             check_against_cold: false,
             stats: WarmStats::default(),
             injected: Vec::new(),
@@ -418,6 +428,7 @@ impl WarmSimplex {
             Ok(f) => {
                 self.factor = Some(f);
                 self.needs_refactor = false;
+                self.xb_stale = false;
                 true
             }
             Err(_) => false,
@@ -478,19 +489,15 @@ impl WarmSimplex {
         Ok(())
     }
 
-    /// Moves one standard-form rhs entry and folds the delta into the
-    /// factorisation's `x_B` incrementally (O(m); skipped while a deferred
-    /// refactorisation is pending, which recomputes `x_B` exactly anyway).
+    /// Moves one standard-form rhs entry. O(1): the factor is not touched,
+    /// `x_B` is only marked stale, and the next warm attempt recomputes
+    /// `x_B = B⁻¹b` once for every patch made since the last solve.
     fn patch_b(&mut self, row: usize, delta: f64) {
         if delta == 0.0 {
             return;
         }
         self.sf.b[row] += delta;
-        if !self.needs_refactor {
-            if let Some(factor) = &mut self.factor {
-                factor.apply_b_delta(row, delta);
-            }
-        }
+        self.xb_stale = true;
     }
 
     /// Replaces the objective coefficient of a variable, patching the
@@ -533,9 +540,11 @@ impl WarmSimplex {
     }
 
     /// Replaces the coefficient of `var` in a constraint, patching the
-    /// sparse column in place. If the column is basic, `B⁻¹` is repaired by
-    /// a rank-1 Sherman–Morrison update (with a deferred refactorisation as
-    /// the fallback when the update is numerically unsafe).
+    /// sparse column in place. If the column is basic, the factorisation is
+    /// repaired by one rank-1 update (a single FTRAN on the sparse LU),
+    /// with an eviction pivot or a deferred refactorisation as the fallback
+    /// when the update is numerically unsafe. `x_B` is left stale and
+    /// recomputed at the next solve.
     pub fn set_coefficient(
         &mut self,
         con: ConstraintId,
@@ -581,17 +590,14 @@ impl WarmSimplex {
                     .iter()
                     .position(|&b| b == j)
                     .expect("in_basis implies a basis slot");
-                let denom = factor.patch_denominator(pos, row, delta_scaled);
-                // A small denominator means the patched basis is nearly
-                // singular: the rank-1 update would blow up B⁻¹'s
+                // A denominator below 0.1 means the patched basis is nearly
+                // singular: the rank-1 update would blow up the factor's
                 // conditioning even when it technically succeeds, and that
                 // drift is what eventually strands the dual phase. Prefer
                 // the clean eviction pivot well before the breakdown point.
-                if denom.abs() >= 0.1 {
-                    // Repairs both B⁻¹ and x_B by the same rank-1 correction.
-                    if factor.patch_basic_column(row, pos, delta_scaled).is_err() {
-                        self.needs_refactor = true;
-                    }
+                if factor.patch_basic_column(row, pos, delta_scaled, 0.1) {
+                    // B changed, so B⁻¹b did too.
+                    self.xb_stale = true;
                 } else if factor.evict_position(&self.sf, pos, &self.slack_cols) {
                     // The patched column would make the basis singular (the
                     // rank-1 denominator vanishes): the column was basic
@@ -653,7 +659,9 @@ impl WarmSimplex {
     }
 
     /// Attempts the warm repair loop; `None` when no basis exists yet.
-    /// `x_B` is already current: every patch folded its delta in eagerly.
+    /// A stale `x_B` (any rhs, bound or basic-column patch since the last
+    /// solve) is recomputed here, once, as `B⁻¹b`; a pending
+    /// refactorisation recomputes it anyway.
     ///
     /// A singular basis — a deferred refactorisation, or a periodic one
     /// inside a phase exposing accumulated drift — is *repaired* (dependent
@@ -670,10 +678,16 @@ impl WarmSimplex {
             return Some(Err(e));
         }
         if !self.needs_refactor {
-            // Drift detector: compare the maintained x_B against the true
-            // patched columns. Compounding rank-1 updates eventually poison
-            // B⁻¹; refactorising the moment the residual leaves the noise
-            // floor is far cheaper than letting a solve run on bad numbers.
+            if self.xb_stale {
+                factor.recompute_xb(&self.sf.b);
+            }
+            // Drift detector: check x_B against the true patched columns.
+            // x_B is B⁻¹b computed through the factor (just now, or by the
+            // last solve's pivots), so the residual measures how accurately
+            // the factor still represents B.
+            // Compounding rank-1 updates eventually poison it; refactorising
+            // the moment the residual leaves the noise floor is far cheaper
+            // than letting a solve run on bad numbers.
             let b_scale = 1.0 + self.sf.b.iter().fold(0.0f64, |a, &x| a.max(x.abs()));
             if factor.xb_residual_inf(&self.sf) > 1e-6 * b_scale {
                 self.needs_refactor = true;
@@ -686,6 +700,7 @@ impl WarmSimplex {
             }
             self.needs_refactor = false;
         }
+        self.xb_stale = false;
         let mut outcome = warm_finish(&self.params, &self.model, &self.sf, &mut factor);
         if matches!(outcome, Err(LpError::SingularBasis)) {
             self.stats.refactorisations += 1;
@@ -713,6 +728,7 @@ impl WarmSimplex {
         self.bound_rows = self.sf.bound_rows(self.model.num_vars());
         self.slack_cols = slack_columns(&self.sf);
         self.needs_refactor = false;
+        self.xb_stale = false;
         let (solution, factor) = self.params.solve_standard_keep(&self.model, &self.sf)?;
         self.factor = factor;
         self.stats.cold_solves += 1;
@@ -724,7 +740,7 @@ impl WarmSimplex {
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Sense};
-    use crate::{DenseSimplex, Status};
+    use crate::{BasisRepr, DenseSimplex, Status};
 
     fn textbook() -> (
         Model,
@@ -812,6 +828,39 @@ mod tests {
         warm.set_rhs(c0, 2.0).unwrap();
         warm.set_coefficient(c1, y, 1.0).unwrap();
         assert_matches_cold(&mut warm);
+    }
+
+    #[test]
+    fn patch_batches_recompute_xb_without_refactorising() {
+        for basis_repr in [BasisRepr::DenseInverse, BasisRepr::SparseLu] {
+            let (m, x, y, _, c1, c2) = textbook();
+            let params = RevisedSimplex {
+                basis_repr,
+                ..RevisedSimplex::default()
+            };
+            let mut warm = WarmSimplex::new(m, params).unwrap();
+            warm.check_against_cold = true;
+            assert_matches_cold(&mut warm);
+            // One batch of rhs and bound patches, including a lower-bound
+            // shift that moves the rhs of every row of x's column.
+            warm.set_rhs(c1, 10.0).unwrap();
+            warm.set_var_bounds(y, 0.0, 6.0).unwrap();
+            warm.set_var_bounds(x, 1.0, 8.0).unwrap();
+            warm.set_rhs(c2, 20.0).unwrap();
+            assert!(warm.xb_stale);
+            assert_matches_cold(&mut warm);
+            assert!(!warm.xb_stale);
+            // A basic-column coefficient patch on its own: b is unchanged
+            // but B is not, so x_B is stale all the same.
+            warm.set_coefficient(c2, y, 2.5).unwrap();
+            assert!(warm.xb_stale);
+            assert_matches_cold(&mut warm);
+            // x_B was recomputed from the factor before each solve, so the
+            // drift detector never had a reason to refactorise.
+            let stats = warm.stats();
+            assert_eq!(stats.refactorisations, 0, "{basis_repr:?} {stats:?}");
+            assert_eq!(stats.warm_solves, 2, "{basis_repr:?} {stats:?}");
+        }
     }
 
     #[test]

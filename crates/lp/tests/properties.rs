@@ -9,7 +9,7 @@
 //! relaxation bound.
 
 use dls_lp::{
-    BranchBound, BranchBoundConfig, ConstraintId, ConstraintOp, DenseSimplex, Model,
+    BasisRepr, BranchBound, BranchBoundConfig, ConstraintId, ConstraintOp, DenseSimplex, Model,
     RevisedSimplex, Sense, Status, VarId, WarmSimplex,
 };
 use proptest::prelude::*;
@@ -142,6 +142,66 @@ proptest! {
             if sol.status == Status::Optimal {
                 prop_assert!(warm.model().check_feasible(&sol.values, 1e-6).is_ok(),
                     "{:?}", warm.model().check_feasible(&sol.values, 1e-6));
+            }
+        }
+    }
+
+    #[test]
+    fn warm_context_tracks_cold_under_patch_batches(
+        lp in random_lp(6, 6),
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0usize..4, 0usize..6, 0usize..6, 0.1f64..3.0), 1..=8),
+            1..6),
+    ) {
+        // Batches of 1–8 in-place patches between solves, so every solve
+        // starts from basic values left stale by several rhs, bound and
+        // basic-column patches at once. Run on both basis representations
+        // with the cold cross-check oracle armed.
+        let sparse = RevisedSimplex { basis_repr: BasisRepr::SparseLu, ..RevisedSimplex::default() };
+        for params in [RevisedSimplex::default(), sparse] {
+            let mut warm = WarmSimplex::new(lp.model.clone(), params).unwrap();
+            warm.check_against_cold = true;
+            prop_assert_eq!(warm.solve().unwrap().status, Status::Optimal);
+            for batch in &batches {
+                for &(kind, vi, ci, mag) in batch {
+                    let n = warm.model().num_vars();
+                    let var = VarId::from_index(vi % n);
+                    let con = ConstraintId::from_index(ci % warm.model().num_constraints());
+                    let (lo, up) = warm.model().bounds(var);
+                    match kind {
+                        0 => {
+                            let rhs = warm.model().rhs(con);
+                            warm.set_rhs(con, rhs + (mag - 1.5)).unwrap();
+                        }
+                        // Upper bound moved either way (stays finite).
+                        1 => warm.set_var_bounds(var, lo, lo + mag).unwrap(),
+                        // Nonzero lower bound: every row of the column has
+                        // its rhs shifted by −a·Δlo.
+                        2 => warm.set_var_bounds(var, (0.5 * mag).min(up), up).unwrap(),
+                        _ => {
+                            // A coefficient of a basic structural column
+                            // (any column when none is basic): changed or
+                            // zeroed, which may force an eviction.
+                            let basic: Vec<usize> = warm
+                                .basis()
+                                .map(|b| b.cols().iter().copied().filter(|&c| c < n).collect())
+                                .unwrap_or_default();
+                            let var = if basic.is_empty() {
+                                var
+                            } else {
+                                VarId::from_index(basic[vi % basic.len()])
+                            };
+                            let old = warm.model().coefficient(con, var);
+                            let new = if mag < 0.8 { 0.0 } else { old + mag - 2.0 };
+                            warm.set_coefficient(con, var, new).unwrap();
+                        }
+                    }
+                }
+                let sol = warm.solve().unwrap();
+                if sol.status == Status::Optimal {
+                    prop_assert!(warm.model().check_feasible(&sol.values, 1e-6).is_ok(),
+                        "{:?}", warm.model().check_feasible(&sol.values, 1e-6));
+                }
             }
         }
     }

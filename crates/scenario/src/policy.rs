@@ -22,7 +22,7 @@
 use crate::report::RecoveryRecord;
 use dls_core::adaptive::scale_to_fit;
 use dls_core::allocation::FractionalAllocation;
-use dls_core::formulation::LpFormulation;
+use dls_core::formulation::{stage2_floor, LpFormulation};
 use dls_core::heuristics::{Heuristic, Lprg};
 use dls_core::{Allocation, ProblemInstance, SolveError};
 use dls_lp::{solve_with, Basis, ConstraintId, Engine, RevisedSimplex, Status, VarId, WarmSimplex};
@@ -158,15 +158,6 @@ pub struct WarmLprg {
     /// alongside the fallback/refactorisation counters in
     /// [`dls_lp::WarmStats`]). Survives rebuilds.
     recover_calls: u64,
-}
-
-/// Margin by which the stage-2 lower bound on the objective variable is
-/// relaxed below the certified stage-1 optimum: wide enough to absorb the
-/// solver's own termination noise (≪ 1e-9 relative), narrow enough that the
-/// canonical vertex is optimal to far better than the heuristics' rounding
-/// tolerances.
-fn stage2_floor(z_star: f64) -> f64 {
-    (z_star - 1e-9 * (1.0 + z_star.abs())).max(0.0)
 }
 
 impl WarmLprg {
